@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"clap/internal/attacks"
@@ -237,6 +238,34 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("nonsense"))); err == nil {
 		t.Error("Load should reject garbage")
+	}
+}
+
+// TestLoadRejectsMismatchedParts stitches a model whose config disagrees
+// with its GRU or autoencoder. Each part decodes cleanly on its own; the
+// mismatch used to surface only as a width panic at the first window.
+func TestLoadRejectsMismatchedParts(t *testing.T) {
+	d := testDetector(t)
+	for name, tc := range map[string]struct {
+		edit func(*Config)
+		want string
+	}{
+		"AE sizes":   {func(c *Config) { c.AEHidden = []int{100, 40} }, "autoencoder"},
+		"stacking":   {func(c *Config) { c.StackLength = 2 }, "autoencoder"},
+		"GRU hidden": {func(c *Config) { c.RNNHidden = 16 }, "GRU"},
+	} {
+		cfg := d.Cfg
+		cfg.AEHidden = append([]int(nil), d.Cfg.AEHidden...)
+		tc.edit(&cfg)
+		stitched := &Detector{Cfg: cfg, Profile: d.Profile, RNN: d.RNN, AE: d.AE}
+		var buf bytes.Buffer
+		if err := stitched.Save(&buf); err != nil {
+			t.Fatalf("%s: Save: %v", name, err)
+		}
+		_, err := Load(&buf)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Load returned %v, want an error naming the %s", name, err, tc.want)
+		}
 	}
 }
 

@@ -7,9 +7,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"clap/internal/features"
 	"clap/internal/nn"
+	"clap/internal/tcpstate"
 )
 
 // The detector persists as a single gob stream: config, feature profile,
@@ -69,7 +71,27 @@ func Load(r io.Reader) (*Detector, error) {
 	if d.AE, err = nn.LoadAutoencoder(bytes.NewReader(aeBlob)); err != nil {
 		return nil, err
 	}
+	if err := d.checkParts(); err != nil {
+		return nil, err
+	}
 	return d, nil
+}
+
+// checkParts cross-checks the separately decoded config, GRU and
+// autoencoder. Each decodes cleanly on its own, so a model stitched from
+// mismatched parts would otherwise load and then panic at its first
+// window: stacked profiles are Cfg.AESizes()[0] wide and the gate blocks
+// Cfg.RNNHidden wide.
+func (d *Detector) checkParts() error {
+	m := d.RNN
+	if m.In != features.NumRNN || m.Hidden != d.Cfg.RNNHidden || m.Classes != tcpstate.NumClasses {
+		return fmt.Errorf("core: model GRU is in=%d hidden=%d classes=%d, config wants in=%d hidden=%d classes=%d",
+			m.In, m.Hidden, m.Classes, features.NumRNN, d.Cfg.RNNHidden, tcpstate.NumClasses)
+	}
+	if want := d.Cfg.AESizes(); !slices.Equal(d.AE.Sizes, want) {
+		return fmt.Errorf("core: model autoencoder has sizes %v, config wants %v", d.AE.Sizes, want)
+	}
+	return nil
 }
 
 // SaveFile persists the detector to path, creating parent directories.

@@ -83,15 +83,16 @@ type Options struct {
 	// recurrences step together through one matrix-matrix pass per gate.
 	// 0 (the default) disables lockstep — the per-connection window
 	// production path runs exactly as before, byte for byte. Widths that
-	// are multiples of the MulMat kernel's 6-lane block (e.g.
-	// DefaultLockstep) keep every fleet row off the slower tail lanes.
+	// are multiples of the MulMat kernel's lane block (8 on the AVX2
+	// kernel, 6 on the pure-Go one; e.g. DefaultLockstep) keep every
+	// fleet row off the slower tail lanes.
 	Lockstep int
 }
 
 // DefaultLockstep is the lockstep width the CLIs default to when the
 // feature is switched on without an explicit width: equal to
 // DefaultBatch, so a full fleet feeds full micro-batches, and a multiple
-// of the 6-lane MulMat block (see BENCH_pr9.json's sweep — throughput is
+// of both MulMat lane blocks (see BENCH_pr9.json's sweep — throughput is
 // flat from ~6 rows up once the recurrent projections batch, so the knob
 // mostly trades fleet memory against fill).
 const DefaultLockstep = 24

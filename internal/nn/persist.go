@@ -2,8 +2,10 @@ package nn
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Model persistence uses encoding/gob over plain snapshot structs so saved
@@ -16,17 +18,39 @@ type tensorSnap struct {
 
 func snap(t *Tensor) tensorSnap { return tensorSnap{R: t.R, C: t.C, W: append([]float64(nil), t.W...)} }
 
+// Load errors for snapshots whose numbers cannot be served. Loaders wrap
+// them with the tensor they were found in; match with errors.Is.
+var (
+	// ErrShape: a declared tensor shape with a dimension below 1 or an
+	// element count that overflows int. Unchecked, R*C wraps around, so
+	// an empty weight slice passes the payload-length check and the
+	// first inference panics.
+	ErrShape = errors.New("nn: tensor shape out of range")
+	// ErrNonFinite: a NaN or infinite weight. Every score would be NaN,
+	// and since NaN >= threshold is false, the model would never flag.
+	ErrNonFinite = errors.New("nn: non-finite weight")
+)
+
 // restore rebuilds a tensor from its snapshot, validating the declared
-// shape against the expected one AND against the payload length. A
-// snapshot whose dims were corrupted (or hand-edited) used to load
-// successfully here and then panic deep inside the first MulVec at
-// inference time; now the load reports what is wrong with which tensor.
+// shape against the expected one AND against the payload length, and
+// every weight for finiteness. A snapshot whose dims were corrupted (or
+// hand-edited) used to load successfully here and then panic deep inside
+// the first MulVec at inference time; now the load reports what is wrong
+// with which tensor.
 func restore(s tensorSnap, name string, wantR, wantC int) (*Tensor, error) {
 	if s.R != wantR || s.C != wantC {
 		return nil, fmt.Errorf("nn: tensor %s has shape (%d,%d), want (%d,%d)", name, s.R, s.C, wantR, wantC)
 	}
+	if s.R < 1 || s.C < 1 || s.R > math.MaxInt/s.C {
+		return nil, fmt.Errorf("tensor %s shape (%d,%d): %w", name, s.R, s.C, ErrShape)
+	}
 	if len(s.W) != s.R*s.C {
 		return nil, fmt.Errorf("nn: tensor %s carries %d weights for shape (%d,%d)", name, len(s.W), s.R, s.C)
+	}
+	for i, v := range s.W {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("tensor %s weight %d is %v: %w", name, i, v, ErrNonFinite)
+		}
 	}
 	t := NewTensor(s.R, s.C)
 	copy(t.W, s.W)
@@ -129,6 +153,11 @@ func LoadAutoencoder(r io.Reader) (*Autoencoder, error) {
 			return nil, fmt.Errorf("nn: loading autoencoder: %w", err)
 		}
 		ae.Layers = append(ae.Layers, &Dense{W: w, B: b, Tanh: i+2 < len(s.Sizes)})
+	}
+	// The L1 error compares the reconstruction with the input element by
+	// element, so the widths must agree (NewAutoencoder enforces the same).
+	if in, out := s.Sizes[0], s.Sizes[len(s.Sizes)-1]; in != out {
+		return nil, fmt.Errorf("nn: autoencoder snapshot maps width %d to %d, want equal", in, out)
 	}
 	return ae, nil
 }

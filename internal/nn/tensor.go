@@ -1,7 +1,10 @@
 // Package nn is the neural-network substrate for CLAP: a GRU sequence
 // classifier that exposes its per-step gate activations (the inter-packet
 // context carrier, §3.3(a)-(b)), a deep autoencoder trained with L1 loss
-// (§3.3(c)), and the Adam optimiser, all in pure Go on float64.
+// (§3.3(c)), and the Adam optimiser, on float64. Everything is pure Go
+// except Tensor.MulMat, which on amd64 hosts with AVX2 runs an assembly
+// kernel (mulmat_amd64.s) picked at package init and bit-identical to the
+// pure-Go kernel it replaces.
 //
 // Everything is deterministic given the caller-supplied *rand.Rand.
 // Training is single-threaded unless stated otherwise; the inference paths
@@ -117,10 +120,24 @@ func mul4(row, x0, x1, x2, x3 []float64) (s0, s1, s2, s3 float64) {
 // accumulates over j in ascending order — exactly MulVec's order — so the
 // result is bit-identical to n MulVec calls at any batch size; only the
 // wall clock changes. Out may not alias X.
+//
+// On amd64 hosts with AVX2 the work runs on an assembly kernel
+// (mulmat_amd64.s) that keeps the same per-element order; everywhere
+// else it runs on the pure-Go kernel below.
 func (t *Tensor) MulMat(x []float64, n int, out []float64) {
 	if len(x) != n*t.C || len(out) != n*t.R {
 		panic(fmt.Sprintf("nn: MulMat shape mismatch: (%d,%d) batch %d over %d into %d", t.R, t.C, n, len(x), len(out)))
 	}
+	if useAVX2 {
+		t.mulMatAVX2(x, n, out)
+		return
+	}
+	t.mulMatGo(x, n, out)
+}
+
+// mulMatGo is the pure-Go MulMat kernel: six-lane blocks of mul6, a
+// four-lane mul4 tail, then MulVec for what is left.
+func (t *Tensor) mulMatGo(x []float64, n int, out []float64) {
 	C, R := t.C, t.R
 	b := 0
 	for ; b+mulMatLane <= n; b += mulMatLane {
