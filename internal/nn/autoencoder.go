@@ -20,9 +20,9 @@ func (l *Dense) apply(in, out []float64) {
 	l.W.MulVec(in, out)
 	for j := range out {
 		out[j] += l.B.W[j]
-		if l.Tanh {
-			out[j] = math.Tanh(out[j])
-		}
+	}
+	if l.Tanh {
+		tanhRow(out)
 	}
 }
 
@@ -227,15 +227,12 @@ func (ae *Autoencoder) ErrorsBatch(xs [][]float64) []float64 {
 		bias := l.B.W[:r]
 		for b := 0; b < n; b++ {
 			o := nxt[b*r : b*r+r]
-			if l.Tanh {
-				for i, bv := range bias {
-					o[i] = math.Tanh(o[i] + bv)
-				}
-			} else {
-				for i, bv := range bias {
-					o[i] += bv
-				}
+			for i, bv := range bias {
+				o[i] += bv
 			}
+		}
+		if l.Tanh {
+			tanhRow(nxt[:n*r])
 		}
 		cur, nxt = nxt, cur
 		width = r

@@ -82,21 +82,24 @@ func (m *GRUClassifier) step(sc *gruScratch, x, hPrev, z, r, c, h []float64) {
 	m.Wz.MulVec(x, sc.az)
 	m.Uz.MulVec(hPrev, sc.tmp)
 	for i := range z {
-		z[i] = sigmoid(sc.az[i] + sc.tmp[i] + m.Bz.W[i])
+		z[i] = sc.az[i] + sc.tmp[i] + m.Bz.W[i]
 	}
+	sigmoidRow(z)
 	m.Wr.MulVec(x, sc.ar)
 	m.Ur.MulVec(hPrev, sc.tmp)
 	for i := range r {
-		r[i] = sigmoid(sc.ar[i] + sc.tmp[i] + m.Br.W[i])
+		r[i] = sc.ar[i] + sc.tmp[i] + m.Br.W[i]
 	}
+	sigmoidRow(r)
 	for i := range sc.rh {
 		sc.rh[i] = r[i] * hPrev[i]
 	}
 	m.Wh.MulVec(x, sc.ah)
 	m.Uh.MulVec(sc.rh, sc.tmp)
 	for i := range c {
-		c[i] = math.Tanh(sc.ah[i] + sc.tmp[i] + m.Bh.W[i])
+		c[i] = sc.ah[i] + sc.tmp[i] + m.Bh.W[i]
 	}
+	tanhRow(c)
 	for i := range h {
 		h[i] = (1-z[i])*hPrev[i] + z[i]*c[i]
 	}
@@ -236,19 +239,22 @@ func (m *GRUClassifier) forwardGatesBatch(seq [][]float64, backing []float64) (Z
 		r := rbuf[t*H : (t+1)*H]
 		m.Uz.MulVec(hPrev, tmp)
 		for i := range z {
-			z[i] = sigmoid(az[t*H+i] + tmp[i] + m.Bz.W[i])
+			z[i] = az[t*H+i] + tmp[i] + m.Bz.W[i]
 		}
+		sigmoidRow(z)
 		m.Ur.MulVec(hPrev, tmp)
 		for i := range r {
-			r[i] = sigmoid(ar[t*H+i] + tmp[i] + m.Br.W[i])
+			r[i] = ar[t*H+i] + tmp[i] + m.Br.W[i]
 		}
+		sigmoidRow(r)
 		for i := range rh {
 			rh[i] = r[i] * hPrev[i]
 		}
 		m.Uh.MulVec(rh, tmp)
 		for i := range c {
-			c[i] = math.Tanh(ah[t*H+i] + tmp[i] + m.Bh.W[i])
+			c[i] = ah[t*H+i] + tmp[i] + m.Bh.W[i]
 		}
+		tanhRow(c)
 		for i := range h {
 			h[i] = (1-z[i])*hPrev[i] + z[i]*c[i]
 		}

@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // GRULockstep steps up to K independent GRU recurrences in lockstep: the
 // K hidden states are stacked as rows of a K×Hidden state matrix, and one
@@ -18,7 +15,7 @@ import (
 // Bit-identity contract: MulMat computes each output row with MulVec's
 // exact per-element accumulation order, and the element-wise gate
 // expressions below are copied from GRUClassifier.step operand for
-// operand, so after T steps a row's Z/R sequence is Float64bits-identical
+// operand (through the same sigmoidRow/tanhRow), so after T steps a row's Z/R sequence is Float64bits-identical
 // to ForwardGates over the same inputs — regardless of which other rows
 // shared the fleet, of the fleet width, and of when rows were moved
 // (Move copies bits, and no arithmetic crosses rows).
@@ -96,17 +93,19 @@ func (s *GRULockstep) Step(n int) {
 	for b := 0; b < n; b++ {
 		z, az, uz := s.z[b*H:(b+1)*H], s.az[b*H:(b+1)*H], u[b*H:(b+1)*H]
 		for i := range z {
-			z[i] = sigmoid(az[i] + uz[i] + m.Bz.W[i])
+			z[i] = az[i] + uz[i] + m.Bz.W[i]
 		}
 	}
+	sigmoidRow(s.z[:n*H])
 	m.Wr.MulMat(x, n, s.ar[:n*H])
 	m.Ur.MulMat(h, n, u)
 	for b := 0; b < n; b++ {
 		r, ar, ur := s.r[b*H:(b+1)*H], s.ar[b*H:(b+1)*H], u[b*H:(b+1)*H]
 		for i := range r {
-			r[i] = sigmoid(ar[i] + ur[i] + m.Br.W[i])
+			r[i] = ar[i] + ur[i] + m.Br.W[i]
 		}
 	}
+	sigmoidRow(s.r[:n*H])
 	rh := s.rh[:n*H]
 	for i := range rh {
 		rh[i] = s.r[i] * h[i]
@@ -116,9 +115,10 @@ func (s *GRULockstep) Step(n int) {
 	for b := 0; b < n; b++ {
 		c, ah, uh := s.c[b*H:(b+1)*H], s.ah[b*H:(b+1)*H], u[b*H:(b+1)*H]
 		for i := range c {
-			c[i] = math.Tanh(ah[i] + uh[i] + m.Bh.W[i])
+			c[i] = ah[i] + uh[i] + m.Bh.W[i]
 		}
 	}
+	tanhRow(s.c[:n*H])
 	// h_t = (1-z) ⊙ h_{t-1} + z ⊙ h̃, element-local so in-place is safe.
 	for i := range h {
 		h[i] = (1-s.z[i])*h[i] + s.z[i]*s.c[i]

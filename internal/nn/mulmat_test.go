@@ -24,11 +24,14 @@ func requireAVX2(t testing.TB) {
 }
 
 // withKernel runs f with MulMat forced onto the AVX2 (true) or the
-// pure-Go (false) kernel, restoring the host's choice afterwards.
+// pure-Go (false) kernel, restoring the host's choice afterwards. Off,
+// it also turns the activation kernel off, so a "go" run is pure Go
+// throughout; on, the activation kernel keeps the host's choice.
 func withKernel(avx2 bool, f func()) {
-	saved := useAVX2
+	saved, savedAct := useAVX2, useActAVX2
 	useAVX2 = avx2
-	defer func() { useAVX2 = saved }()
+	useActAVX2 = avx2 && savedAct
+	defer func() { useAVX2, useActAVX2 = saved, savedAct }()
 	f()
 }
 
@@ -156,7 +159,8 @@ func TestKernelErrorsBatchMatchesError(t *testing.T) {
 // BenchmarkMulMatAE times the CLAP autoencoder chain at the serving
 // batch of 24 windows on each kernel: "mulmat" is the six matrix
 // multiplies alone, "errorsbatch" adds the bias, tanh and L1 epilogue.
-// Both report ns/window.
+// Both report ns/window. The "go" rows run MulMat and tanh in pure Go;
+// the "avx2" rows run both assembly kernels where the host has them.
 func BenchmarkMulMatAE(b *testing.B) {
 	const n = 24
 	rng := rand.New(rand.NewSource(15))

@@ -2,9 +2,11 @@
 // classifier that exposes its per-step gate activations (the inter-packet
 // context carrier, §3.3(a)-(b)), a deep autoencoder trained with L1 loss
 // (§3.3(c)), and the Adam optimiser, on float64. Everything is pure Go
-// except Tensor.MulMat, which on amd64 hosts with AVX2 runs an assembly
-// kernel (mulmat_amd64.s) picked at package init and bit-identical to the
-// pure-Go kernel it replaces.
+// except two assembly kernels on amd64, each picked at package init and
+// bit-identical to the Go code it replaces: Tensor.MulMat runs an AVX2
+// kernel (mulmat_amd64.s) on hosts with AVX2, and every tanh and sigmoid
+// (tanhRow, sigmoidRow) runs an AVX2+FMA kernel (act_amd64.s) on hosts
+// where math.Exp itself takes its FMA branch.
 //
 // Everything is deterministic given the caller-supplied *rand.Rand.
 // Training is single-threaded unless stated otherwise; the inference paths
@@ -222,6 +224,46 @@ func sigmoid(x float64) float64 {
 	}
 	z := math.Exp(x)
 	return z / (1 + z)
+}
+
+// tanhRow sets v[i] = math.Tanh(v[i]) for every element, and sigmoidRow
+// v[i] = sigmoid(v[i]). They are the only way the models apply either
+// activation, so every inference and training path shares one arithmetic
+// source. On amd64 hosts where useActAVX2 is set they run an assembly
+// kernel (act_amd64.s) that is bit-identical to the scalar functions.
+func tanhRow(v []float64) {
+	if useActAVX2 {
+		v = lanesRow(v, tanhLanes, math.Tanh)
+	}
+	for i, x := range v {
+		v[i] = math.Tanh(x)
+	}
+}
+
+func sigmoidRow(v []float64) {
+	if useActAVX2 {
+		v = lanesRow(v, sigmoidLanes, sigmoid)
+	}
+	for i, x := range v {
+		v[i] = sigmoid(x)
+	}
+}
+
+// lanesRow runs a four-lane kernel over v's whole blocks of four. Each
+// block the kernel declines goes through the scalar f, and the kernel
+// resumes after it. It returns the tail of fewer than four elements.
+func lanesRow(v []float64, lanes func([]float64) int, f func(float64) float64) []float64 {
+	for len(v) >= 4 {
+		v = v[lanes(v[:len(v)&^3]):]
+		if len(v) < 4 {
+			break
+		}
+		for i, x := range v[:4] {
+			v[i] = f(x)
+		}
+		v = v[4:]
+	}
+	return v
 }
 
 // Softmax writes the softmax of logits into out (stable form).

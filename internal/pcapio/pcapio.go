@@ -59,7 +59,8 @@ type Record struct {
 	// Data holds the raw IP bytes (link layer already stripped).
 	Data []byte
 	// OrigLen is the original on-the-wire length of the IP portion, which
-	// exceeds len(Data) for snap-length- or payload-truncated captures.
+	// exceeds len(Data) for snap-length- or payload-truncated captures and
+	// is never below it.
 	OrigLen int
 }
 
@@ -142,12 +143,12 @@ func (r *Reader) Next() (Record, error) {
 		}
 		rec.Data = rec.Data[etherHdrLen:]
 		rec.OrigLen -= etherHdrLen
-		if rec.OrigLen < len(rec.Data) {
-			// A frame whose claimed wire length is shorter than the
-			// Ethernet header (or than the captured bytes) would yield a
-			// negative or undersized OrigLen downstream.
-			rec.OrigLen = len(rec.Data)
-		}
+	}
+	if rec.OrigLen < len(rec.Data) {
+		// A record whose claimed wire length is shorter than the captured
+		// bytes (or, for Ethernet, than the Ethernet header) would yield an
+		// undersized or negative OrigLen downstream.
+		rec.OrigLen = len(rec.Data)
 	}
 	return rec, nil
 }

@@ -11,7 +11,7 @@ import (
 	"clap/internal/packet"
 )
 
-func samplePackets(t *testing.T) []*packet.Packet {
+func samplePackets(t testing.TB) []*packet.Packet {
 	t.Helper()
 	c := [4]byte{10, 0, 0, 1}
 	s := [4]byte{192, 0, 2, 1}
